@@ -1,6 +1,6 @@
 (* resdb_client: a closed-loop client for a networked resdb_node cluster.
 
-   Signs each request (demo keys, see resdb_node.ml), sends it to the
+   Signs each request (demo keys, see Rdb_core.Tcp_node), sends it to the
    primary, listens for replies on its own socket, accepts a result once
    f+1 distinct replicas returned matching answers, and reports throughput
    and latency percentiles at the end. *)
@@ -8,29 +8,19 @@
 open Cmdliner
 module Tcp = Rdb_net.Tcp_transport
 module Wire = Rdb_core.Wire
-module Signer = Rdb_crypto.Signer
+module Node = Rdb_core.Tcp_node
+module Config = Rdb_consensus.Config
+module Quorum = Rdb_consensus.Quorum
 module Stats = Rdb_des.Stats
 
-let parse_peers s =
-  String.split_on_char ',' s
-  |> List.mapi (fun i hp ->
-         match String.split_on_char ':' hp with
-         | [ host; port ] -> (i, (host, int_of_string port))
-         | _ -> failwith ("bad peer: " ^ hp))
-
-type track = {
-  mutable results : (string * int) list;  (** result -> distinct reply count *)
-  mutable senders : int list;
-  mutable done_ : bool;
-  sent_at : float;
-}
+(* An outstanding request: distinct repliers per result. *)
+type track = { votes : string Quorum.t; sent_at : float }
 
 let run peers_s client_id count window =
-  let peers = parse_peers peers_s in
+  let peers = Node.parse_peers peers_s in
   let n = List.length peers in
-  let f = (n - 1) / 3 in
-  let quorum = f + 1 in
-  let signer = Signer.create (Rdb_des.Rng.create 4242L) Signer.Ed25519 in
+  let quorum = Config.reply_quorum (Config.make ~n ()) in
+  let signer = Node.client_signer () in
   let lock = Mutex.create () in
   let cond = Condition.create () in
   let inflight : (int, track) Hashtbl.t = Hashtbl.create 64 in
@@ -41,18 +31,14 @@ let run peers_s client_id count window =
     | Ok (Wire.Reply { txn_id; from; result }) ->
       Mutex.lock lock;
       (match Hashtbl.find_opt inflight txn_id with
-      | Some t when (not t.done_) && not (List.mem from t.senders) ->
-        t.senders <- from :: t.senders;
-        let c = try List.assoc result t.results + 1 with Not_found -> 1 in
-        t.results <- (result, c) :: List.remove_assoc result t.results;
-        if c >= quorum then begin
-          t.done_ <- true;
+      | Some t ->
+        if Quorum.add t.votes result from >= quorum then begin
           Hashtbl.remove inflight txn_id;
           incr completed;
           Stats.add latencies (Unix.gettimeofday () -. t.sent_at);
           Condition.signal cond
         end
-      | _ -> ());
+      | None -> ());
       Mutex.unlock lock
     | Ok _ | Error _ -> ()
   in
@@ -71,8 +57,7 @@ let run peers_s client_id count window =
     while Hashtbl.length inflight >= window do
       Condition.wait cond lock
     done;
-    Hashtbl.replace inflight txn_id
-      { results = []; senders = []; done_ = false; sent_at = Unix.gettimeofday () };
+    Hashtbl.replace inflight txn_id { votes = Quorum.create (); sent_at = Unix.gettimeofday () };
     Mutex.unlock lock;
     ignore
       (Tcp.send transport ~to_:primary

@@ -1,19 +1,15 @@
 module Msg = Rdb_consensus.Message
-module Action = Rdb_consensus.Action
 module Config = Rdb_consensus.Config
-module Pbft = Rdb_consensus.Pbft_replica
-module St = Rdb_consensus.State_transfer
+module Core = Rdb_consensus.Core
 module Client = Rdb_consensus.Pbft_client
 module Signer = Rdb_crypto.Signer
-module Sha256 = Rdb_crypto.Sha256
 module Cmac = Rdb_crypto.Cmac
 module Vcache = Rdb_crypto.Verify_cache
 module Mem_store = Rdb_storage.Mem_store
 module Ledger = Rdb_chain.Ledger
-module Block = Rdb_chain.Block
 module Rng = Rdb_des.Rng
 module Trace = Rdb_obs.Trace
-module Exec_sched = Rdb_replica.Exec_sched
+module Host = Replica_host
 
 type config = {
   n : int;
@@ -41,39 +37,18 @@ let default_config =
     exec_threads = 1;
   }
 
-type request = { client : int; payload : string; signature : string }
-
-type replica = {
-  id : int;
-  core : Pbft.t;
-  mutable rstore : Mem_store.t;
-  rledger : Ledger.t;
-  mac : Cmac.key;  (** group MAC key for replica-to-replica traffic *)
-  mutable applied : int;  (** highest sequence number applied to [rstore] *)
-  seen : unit Vcache.t;
-      (** MACs this replica has accepted, keyed by authenticated content plus
-          tag: a duplicate delivery skips the CMAC recomputation, a forgery
-          (different tag) can never alias a cached acceptance *)
-}
 
 type t = {
   cfg : config;
   ccfg : Config.t;
-  replicas : replica array;
+  hosts : Host.t array;
   client_signer : Signer.t;
-  client_verifier : Signer.verifier;
-  apply : replica:int -> Rdb_storage.Mem_store.t -> client:int -> payload:string -> string;
-  footprint : (client:int -> payload:string -> Exec_sched.footprint) option;
-      (** declares the keys one request reads/writes; required for the
-          parallel execution path — without it every request potentially
-          conflicts with every other and execution stays serial *)
   queue : (int * int * Msg.t * string) Queue.t;  (** (origin, dst, message, mac tag) *)
-  requests : (int, request) Hashtbl.t;  (** txn_id -> request *)
-  pending : int Queue.t;  (** txn ids awaiting batching at the primary *)
+  requests : (int, Host.request * string) Hashtbl.t;  (** txn_id -> request, client signature *)
   clients : (int, Client.t) Hashtbl.t;
+  completed : (int * string) list ref;  (** newest first *)
   mutable next_txn : int;
   mutable crashed : int list;
-  mutable completed : (int * string) list;  (** newest first *)
   mutable auth_failures : int;
   verified_reqs : unit Vcache.t;
       (** client signatures the primary has accepted, keyed by txn id: a
@@ -87,14 +62,22 @@ type t = {
 (* A single pre-shared group secret, as in a permissioned deployment. *)
 let group_secret = "local-runtime-k!"
 
+let client_for clients ccfg id =
+  match Hashtbl.find_opt clients id with
+  | Some c -> c
+  | None ->
+    let c = Client.create ccfg ~id in
+    Hashtbl.add clients id c;
+    c
+
 let create ?(config = default_config) ?(trace = false) ?footprint ~apply () =
   if config.n < 4 then invalid_arg "Local_runtime.create: need at least 4 replicas";
   if config.batch_size < 1 then invalid_arg "Local_runtime.create: bad batch size";
   if config.exec_threads < 1 || config.exec_threads > 64 then
     invalid_arg "Local_runtime.create: exec_threads must be in [1, 64]";
   let ccfg = Config.make ~checkpoint_interval:config.checkpoint_interval ~n:config.n () in
-  let rng = Rng.create config.seed in
-  let client_signer = Signer.create rng Signer.Ed25519 in
+  let client_signer = Signer.create (Rng.create config.seed) Signer.Ed25519 in
+  let client_verifier = Signer.verifier client_signer in
   let obs_trace =
     if not trace then None
     else begin
@@ -105,49 +88,62 @@ let create ?(config = default_config) ?(trace = false) ?footprint ~apply () =
       Some tr
     end
   in
+  let queue = Queue.create () and requests = Hashtbl.create 256 in
+  let clients = Hashtbl.create 16 and completed = ref [] in
+  let verified_reqs = Vcache.create ~capacity:4096 in
+  (* The primary verifies each client signature before batching (§4.3):
+     real verification over the stored payloads.  Verify-sharing: a request
+     admitted once (then re-batched by a new primary after a view change)
+     skips straight to the memo table — the stored payload and signature
+     are immutable under their txn id. *)
+  let admit txn_id =
+    match Hashtbl.find_opt requests txn_id with
+    | None -> false
+    | Some ((req : Host.request), signature) ->
+      let key = string_of_int txn_id in
+      Vcache.mem verified_reqs key
+      ||
+      let ok =
+        Signer.verify client_verifier (Printf.sprintf "%d|%s" req.client req.payload) ~signature
+      in
+      if ok then Vcache.add verified_reqs key ();
+      ok
+  in
+  let reply ~client msg =
+    List.iter
+      (function
+        | Client.Complete { txn_id; result } -> completed := (txn_id, result) :: !completed
+        | Client.Send _ | Client.Broadcast_request _ -> ())
+      (Client.handle_reply (client_for clients ccfg client) msg)
+  in
+  let host id =
+    let ledger =
+      match config.durable_dir with
+      | Some dir ->
+        let dir = Filename.concat dir (Printf.sprintf "replica-%d" id) in
+        Ledger.open_durable ~dir ~primary_id:0
+      | None -> Ledger.create ~primary_id:0
+    in
+    Host.create ~core:(Core.pbft ccfg ~id) ~config:ccfg ~id ~mac:(Cmac.of_secret group_secret)
+      ~ledger ~batch_size:config.batch_size ~exec_threads:config.exec_threads ?footprint ~admit
+      ~apply:(apply ~replica:id)
+      ~lookup:(fun txn_id -> Option.map fst (Hashtbl.find_opt requests txn_id))
+      ~send:(fun ~dst ~tag msg -> Queue.push (id, dst, msg, tag) queue)
+      ~reply ()
+  in
   {
     cfg = config;
     ccfg;
-    replicas =
-      Array.init config.n (fun id ->
-          let rledger =
-            match config.durable_dir with
-            | Some dir ->
-              Ledger.open_durable
-                ~dir:(Filename.concat dir (Printf.sprintf "replica-%d" id))
-                ~primary_id:0
-            | None -> Ledger.create ~primary_id:0
-          in
-          let core = Pbft.create ccfg ~id in
-          (* A reopened durable ledger already holds a chain: fast-forward
-             the fresh core past the persisted tip so ordering resumes
-             there instead of re-proposing sequence numbers the chain
-             already contains.  The in-memory application state restarts
-             empty on every replica alike — the chain is what survives. *)
-          let tip = Ledger.next_seq rledger - 1 in
-          if tip > 0 then Pbft.install_checkpoint core ~seq:tip ~state_digest:"";
-          {
-            id;
-            core;
-            rstore = Mem_store.create ();
-            rledger;
-            mac = Cmac.of_secret group_secret;
-            applied = tip;
-            seen = Vcache.create ~capacity:4096;
-          });
+    hosts = Array.init config.n host;
     client_signer;
-    client_verifier = Signer.verifier client_signer;
-    apply;
-    footprint;
-    queue = Queue.create ();
-    requests = Hashtbl.create 256;
-    pending = Queue.create ();
-    clients = Hashtbl.create 16;
+    queue;
+    requests;
+    clients;
+    completed;
     next_txn = 0;
     crashed = [];
-    completed = [];
     auth_failures = 0;
-    verified_reqs = Vcache.create ~capacity:4096;
+    verified_reqs;
     obs_trace;
     trace_step = 0;
   }
@@ -157,294 +153,28 @@ let is_crashed t id = List.mem id t.crashed
 (* Cluster-level view/primary reads come from a live replica: a crashed
    replica's core is frozen in the old view. *)
 let live_replica t =
-  let rec find i =
-    if i >= t.cfg.n then t.replicas.(0)
-    else if is_crashed t i then find (i + 1)
-    else t.replicas.(i)
-  in
+  let rec find i = if i >= t.cfg.n then 0 else if is_crashed t i then find (i + 1) else i in
   find 0
 
-let view t = Pbft.view (live_replica t).core
+let view t = Host.view t.hosts.(live_replica t)
 
 let primary t = Config.primary_of_view t.ccfg (view t)
 
-let mac_of t msg = Cmac.mac t.replicas.(0).mac (Msg.auth_string msg)
-
-let send t ~from ~dst msg = Queue.push (from, dst, msg, mac_of t msg) t.queue
-
-let broadcast t ~from msg =
-  Array.iter (fun (r : replica) -> if r.id <> from then send t ~from ~dst:r.id msg) t.replicas
-
-let client_for t id =
-  match Hashtbl.find_opt t.clients id with
-  | Some c -> c
-  | None ->
-    let c = Client.create t.ccfg ~id in
-    Hashtbl.add t.clients id c;
-    c
-
-(* Conflict-aware parallel execution of one batch on real OCaml domains.
-   The batch is partitioned by Exec_sched into key-disjoint lanes separated
-   by barrier rounds.  Mem_store is not thread-safe, so a domain never
-   touches the shared store: each lane applies its requests against a
-   private staging store pre-seeded with the lane's declared footprint, and
-   after joining, the main thread merges every declared write key back.
-   Within a round the lanes' write sets are disjoint (Exec_sched's
-   invariant), so the merge order cannot matter and the final state equals
-   serial in-order execution — the property [verify] audits across
-   replicas.  Correctness leans on the footprint contract: [apply] must not
-   read or write keys outside the declared footprint (undeclared reads see
-   an empty staging slot, undeclared writes are silently dropped at the
-   merge). *)
-let execute_parallel t (r : replica) (batch : Msg.batch) fp_of =
-  let lookup =
-    Array.of_list
-      (List.map
-         (fun (ref_ : Msg.request_ref) -> Hashtbl.find_opt t.requests ref_.Msg.txn_id)
-         batch.Msg.reqs)
-  in
-  let fps =
-    Array.map
-      (function
-        | None -> { Exec_sched.reads = []; writes = [] }
-        | Some req -> fp_of ~client:req.client ~payload:req.payload)
-      lookup
-  in
-  let plan = Exec_sched.schedule ~lanes:t.cfg.exec_threads fps in
-  let results = Array.make (Array.length lookup) "missing-payload" in
-  let run_lane idxs () =
-    let staged = Mem_store.create () in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun key ->
-            match Mem_store.get r.rstore key with
-            | Some v -> Mem_store.put staged key v
-            | None -> ())
-          (fps.(i).Exec_sched.reads @ fps.(i).Exec_sched.writes))
-      idxs;
-    let lane_results =
-      List.map
-        (fun i ->
-          match lookup.(i) with
-          | None -> (i, "missing-payload")
-          | Some req ->
-            (i, t.apply ~replica:r.id staged ~client:req.client ~payload:req.payload))
-        idxs
-    in
-    (staged, lane_results)
-  in
-  List.iter
-    (fun (round : Exec_sched.round) ->
-      let lanes = Array.to_list round |> List.filter (fun idxs -> idxs <> []) in
-      (match lanes with
-      | [] -> ()
-      | first :: rest ->
-        (* Spawn the other lanes; run the first on this domain. *)
-        let spawned = List.map (fun idxs -> Domain.spawn (run_lane idxs)) rest in
-        let outcomes = run_lane first () :: List.map Domain.join spawned in
-        List.iter
-          (fun (staged, lane_results) ->
-            List.iter (fun (i, res) -> results.(i) <- res) lane_results;
-            List.iter
-              (fun (i, _) ->
-                List.iter
-                  (fun key ->
-                    match Mem_store.get staged key with
-                    | Some v -> Mem_store.put r.rstore key v
-                    | None -> Mem_store.delete r.rstore key)
-                  fps.(i).Exec_sched.writes)
-              lane_results)
-          outcomes))
-    plan.Exec_sched.rounds;
-  Array.to_list results
-
-(* Execution: apply every request of the batch on this replica's store, then
-   append a block whose linkage is the commit certificate (§4.6). *)
-let execute t (r : replica) (batch : Msg.batch) =
-  if batch.Msg.seq <= r.applied then
-    (* Already covered by a state transfer: the snapshot included this
-       batch's effects, so re-applying would double-execute. *)
-    List.map (fun _ -> "state-transferred") batch.Msg.reqs
-  else begin
-  let results =
-    match t.footprint with
-    | Some fp when t.cfg.exec_threads >= 2 -> execute_parallel t r batch fp
-    | _ ->
-      List.map
-        (fun (ref_ : Msg.request_ref) ->
-          match Hashtbl.find_opt t.requests ref_.Msg.txn_id with
-          | None -> "missing-payload"
-          | Some req ->
-            t.apply ~replica:r.id r.rstore ~client:req.client ~payload:req.payload)
-        batch.Msg.reqs
-  in
-  let cert = List.init (Config.commit_quorum t.ccfg) (fun i -> (i, "commit-share")) in
-  let block =
-    {
-      Block.seq = batch.Msg.seq;
-      view = batch.Msg.view;
-      digest = batch.Msg.digest;
-      txn_count = List.length batch.Msg.reqs;
-      link = Block.Certificate cert;
-    }
-  in
-  if Ledger.next_seq r.rledger = batch.Msg.seq then Ledger.append r.rledger block;
-  r.applied <- max r.applied batch.Msg.seq;
-  results
-  end
-
-let rec dispatch t ~origin actions =
-  List.iter
-    (fun a ->
-      match a with
-      | Action.Broadcast m -> broadcast t ~from:origin m
-      | Action.Send (dst, m) -> send t ~from:origin ~dst m
-      | Action.Send_client (cid, m) -> deliver_client t cid m
-      | Action.Execute batch ->
-        let r = t.replicas.(origin) in
-        let results = execute t r batch in
-        let result_digest = Sha256.hex (String.sub (Sha256.digest (String.concat "|" results)) 0 8) in
-        (* Per-request results are carried in the Reply actions the core
-           emits from handle_executed; we fold the batch digest in as the
-           agreed result string. *)
-        dispatch t ~origin
-          (Pbft.handle_executed r.core ~seq:batch.Msg.seq
-             ~state_digest:(Mem_store.digest r.rstore) ~result:result_digest)
-      | Action.Stable_checkpoint seq ->
-        let r = t.replicas.(origin) in
-        (* A replica behind the stable checkpoint (it was crashed, or joined
-           late) catches up through the checkpoint-driven state-transfer
-           protocol — the same [State_transfer] code path the DES cluster
-           recovers through: it broadcasts a State_request, and any live
-           peer holding the stable-checkpoint certificate answers with the
-           retained chain segment plus its application-state export. *)
-        if r.applied < seq || Ledger.next_seq r.rledger <= seq then
-          broadcast t ~from:r.id (St.request r.rledger ~from:r.id)
-        else begin
-          Ledger.checkpoint r.rledger ~seq ~state_digest:(Mem_store.digest r.rstore);
-          ignore (Ledger.prune_below r.rledger seq)
-        end)
-    actions
-
-and deliver_client t cid msg =
-  let c = client_for t cid in
-  List.iter
-    (function
-      | Client.Complete { txn_id; result } -> t.completed <- (txn_id, result) :: t.completed
-      | Client.Send _ | Client.Broadcast_request _ -> ())
-    (Client.handle_reply c msg)
-
 let try_batch t ~force =
   let p = primary t in
-  if not (is_crashed t p) then begin
-    let r = t.replicas.(p) in
-    let form k =
-      let txns = List.init k (fun _ -> Queue.pop t.pending) in
-      (* The primary verifies each client signature before batching (§4.3):
-         real verification over the stored payloads.  Verify-sharing: a
-         request admitted once (then re-batched by a new primary after a
-         view change) skips straight to the memo table — the stored payload
-         and signature are immutable under their txn id. *)
-      let all_valid =
-        List.for_all
-          (fun txn_id ->
-            match Hashtbl.find_opt t.requests txn_id with
-            | None -> false
-            | Some req ->
-              let key = string_of_int txn_id in
-              Vcache.mem t.verified_reqs key
-              ||
-              let ok =
-                Signer.verify t.client_verifier
-                  (Printf.sprintf "%d|%s" req.client req.payload)
-                  ~signature:req.signature
-              in
-              if ok then Vcache.add t.verified_reqs key ();
-              ok)
-          txns
-      in
-      if all_valid then begin
-        (* One string representation of the whole batch, hashed once. *)
-        let payloads =
-          List.map
-            (fun id ->
-              match Hashtbl.find_opt t.requests id with
-              | Some req -> req.payload
-              | None -> "")
-            txns
-        in
-        let digest = Sha256.digest (String.concat "\x00" payloads) in
-        let reqs =
-          List.map
-            (fun txn_id ->
-              let req = Hashtbl.find t.requests txn_id in
-              { Msg.client = req.client; txn_id })
-            txns
-        in
-        let wire = List.fold_left (fun acc p' -> acc + String.length p') 0 payloads in
-        let _, actions = Pbft.propose r.core ~reqs ~digest ~wire_bytes:wire in
-        dispatch t ~origin:p actions
-      end
-    in
-    while Queue.length t.pending >= t.cfg.batch_size do
-      form t.cfg.batch_size
-    done;
-    if force && not (Queue.is_empty t.pending) then form (Queue.length t.pending)
-  end
+  if not (is_crashed t p) then Host.form_batches t.hosts.(p) ~force
 
 let submit t ~client ~payload =
   let txn_id = t.next_txn in
   t.next_txn <- txn_id + 1;
   let signature = Signer.sign t.client_signer (Printf.sprintf "%d|%s" client payload) in
-  Hashtbl.replace t.requests txn_id { client; payload; signature };
-  Queue.push txn_id t.pending;
-  ignore (Client.submit (client_for t client) ~txn_id);
+  Hashtbl.replace t.requests txn_id ({ Host.client; payload }, signature);
+  Host.enqueue t.hosts.(primary t) txn_id;
+  ignore (Client.submit (client_for t.clients t.ccfg client) ~txn_id);
   try_batch t ~force:false;
   txn_id
 
 let flush t = try_batch t ~force:true
-
-(* Donor side of a state transfer: answer with the stable-checkpoint
-   certificate, the retained chain segment, and a full export of the
-   application store (this runtime executes for real, so the requester
-   cannot reconstruct application state from block metadata alone). *)
-let serve_state t (r : replica) ~low ~requester =
-  let app_export = ref [] in
-  Mem_store.iter r.rstore (fun k v -> app_export := (k, v) :: !app_export);
-  match
-    St.serve r.rledger ~stable:(Pbft.stable_certificate r.core) ~low ~from:r.id
-      ~app_seq:r.applied ~app_export:!app_export
-  with
-  | Some resp -> send t ~from:r.id ~dst:requester resp
-  | None -> ()
-
-(* Requester side: verify the certificate and segment, install the chain,
-   rebuild the application store from the export and fast-forward the core.
-   A donor exactly level with our ledger (possible when a durable chain
-   survived a restart that the in-memory store did not) cannot advance the
-   ledger, but its verified export still restores the application state. *)
-let admit_state t (r : replica) msg =
-  let quorum = Config.commit_quorum t.ccfg in
-  let import ~app_seq ~app_export =
-    if app_seq > r.applied then begin
-      let st = Mem_store.create () in
-      List.iter (fun (k, v) -> Mem_store.put st k v) app_export;
-      r.rstore <- st;
-      r.applied <- app_seq
-    end
-  in
-  let install_core ~seq ~state_digest = Pbft.install_checkpoint r.core ~seq ~state_digest in
-  if not (St.admit ~commit_quorum:quorum r.rledger ~install_core ~import msg) then
-    match msg with
-    | Msg.State_response { last_stable; state_digest; cert; blocks; app_seq; app_export; _ }
-      -> (
-      match St.verify ~commit_quorum:quorum ~last_stable ~state_digest ~cert ~blocks with
-      | Ok () when app_seq > r.applied ->
-        import ~app_seq ~app_export;
-        install_core ~seq:last_stable ~state_digest
-      | Ok () | Error _ -> ())
-    | _ -> ()
 
 let step t =
   match Queue.take_opt t.queue with
@@ -456,30 +186,11 @@ let step t =
       (match t.obs_trace with
       | Some tr ->
         t.trace_step <- t.trace_step + 1;
-        Trace.complete tr ~pid:dst ~tid:0 ~name:(Msg.type_name msg)
-          ~ts:(t.trace_step * 1000) ~dur:1000
+        Trace.complete tr ~pid:dst ~tid:0 ~name:(Msg.type_name msg) ~ts:(t.trace_step * 1000)
+          ~dur:1000
       | None -> ());
-      let r = t.replicas.(dst) in
-      (* Verify-sharing on the MAC check: the key covers the authenticated
-         content *and* the tag, so only an exact re-delivery (retransmission
-         or duplicate) hits; a forged tag always reaches Cmac.verify. *)
-      let key = Msg.auth_string msg ^ "\x00" ^ tag in
-      let authentic =
-        Vcache.mem r.seen key
-        ||
-        let ok = Cmac.verify r.mac (Msg.auth_string msg) ~tag in
-        if ok then Vcache.add r.seen key ();
-        ok
-      in
-      if authentic then begin
-        match msg with
-        (* State transfer moves ledger segments and application state, which
-           the pure core never holds: both sides are handled at this (host)
-           level, exactly as the DES cluster does. *)
-        | Msg.State_request { low; from } -> serve_state t r ~low ~requester:from
-        | Msg.State_response _ -> admit_state t r msg
-        | _ -> dispatch t ~origin:dst (Pbft.handle_message r.core msg)
-      end
+      let h = t.hosts.(dst) in
+      if Host.authentic h msg ~tag then Host.deliver h msg
       else t.auth_failures <- t.auth_failures + 1
     end;
     true
@@ -500,21 +211,16 @@ let recover t id =
      waiting out a full checkpoint interval.  If no peer holds a stable
      certificate yet the request goes unanswered, and the next stable
      checkpoint its own core observes triggers another one. *)
-  let r = t.replicas.(id) in
-  broadcast t ~from:id (St.request r.rledger ~from:id)
+  Host.request_state t.hosts.(id)
 
-let applied t id = t.replicas.(id).applied
+let applied t id = Host.applied t.hosts.(id)
 
-let close t =
-  Array.iter (fun (r : replica) -> Ledger.close r.rledger) t.replicas
 (* Durable backends flush their WAL and persist counters on close, so a
    later [create] over the same [durable_dir] resumes at the tip. *)
+let close t = Array.iter (fun h -> Ledger.close (Host.ledger h)) t.hosts
 
 let force_view_change t =
-  Array.iter
-    (fun (r : replica) ->
-      if not (is_crashed t r.id) then dispatch t ~origin:r.id (Pbft.suspect_primary r.core))
-    t.replicas;
+  Array.iteri (fun id h -> if not (is_crashed t id) then Host.input h (Core.Suspect 0)) t.hosts;
   run t;
   (* Requests whose replies never reached the client — still pending at the
      old primary, or admitted into a batch the crash lost — are re-batched
@@ -524,28 +230,26 @@ let force_view_change t =
      admitted request costs a memo-table probe, not a second signature
      verification. *)
   let done_ = Hashtbl.create 64 in
-  List.iter (fun (id, _) -> Hashtbl.replace done_ id ()) t.completed;
-  Queue.clear t.pending;
+  List.iter (fun (id, _) -> Hashtbl.replace done_ id ()) !(t.completed);
+  Array.iter Host.clear_pending t.hosts;
+  let p = t.hosts.(primary t) in
   for txn_id = 0 to t.next_txn - 1 do
-    if Hashtbl.mem t.requests txn_id && not (Hashtbl.mem done_ txn_id) then
-      Queue.push txn_id t.pending
+    if Hashtbl.mem t.requests txn_id && not (Hashtbl.mem done_ txn_id) then Host.enqueue p txn_id
   done;
   try_batch t ~force:false
 
-let completed t = List.rev t.completed
+let completed t = List.rev !(t.completed)
 
-let store t id = t.replicas.(id).rstore
+let store t id = Host.store t.hosts.(id)
 
-let ledger t id = t.replicas.(id).rledger
+let ledger t id = Host.ledger t.hosts.(id)
 
-let last_executed t id = Pbft.last_executed t.replicas.(id).core
+let last_executed t id = Host.last_executed t.hosts.(id)
 
 let auth_failures t = t.auth_failures
 
 let verify_cache_hits t =
-  Array.fold_left
-    (fun acc (r : replica) -> acc + Vcache.hits r.seen)
-    (Vcache.hits t.verified_reqs) t.replicas
+  Array.fold_left (fun acc h -> acc + Host.mac_cache_hits h) (Vcache.hits t.verified_reqs) t.hosts
 
 let trace_json t = match t.obs_trace with Some tr -> Some (Trace.to_string tr) | None -> None
 
@@ -553,29 +257,29 @@ let inject_forged_message t ~dst =
   let msg = Msg.Prepare { view = view t; seq = 999_999; digest = "forged"; from = 0 } in
   (* The adversary is not a replica: route around the origin-crash drop by
      naming a live replica as the nominal origin. *)
-  let origin = (live_replica t).id in
-  Queue.push (origin, dst, msg, String.make 16 '\x00') t.queue
+  Queue.push (live_replica t, dst, msg, String.make 16 '\x00') t.queue
 
 let verify t =
-  let live = Array.to_list t.replicas |> List.filter (fun r -> not (is_crashed t r.id)) in
+  let live = List.filter (fun id -> not (is_crashed t id)) (List.init t.cfg.n Fun.id) in
   match live with
   | [] -> Error "no live replicas"
   | first :: rest ->
-    let cum0 = Ledger.cumulative_digest first.rledger in
-    let state0 = Mem_store.digest first.rstore in
+    let cum0 = Ledger.cumulative_digest (ledger t first) in
+    let state0 = Mem_store.digest (store t first) in
     let rec check = function
       | [] -> Ok ()
-      | (r : replica) :: more ->
-        if not (String.equal (Ledger.cumulative_digest r.rledger) cum0) then
-          Error (Printf.sprintf "replica %d ledger diverged from replica %d" r.id first.id)
-        else if not (String.equal (Mem_store.digest r.rstore) state0) then
-          Error (Printf.sprintf "replica %d state diverged from replica %d" r.id first.id)
+      | id :: more ->
+        if not (String.equal (Ledger.cumulative_digest (ledger t id)) cum0) then
+          Error (Printf.sprintf "replica %d ledger diverged from replica %d" id first)
+        else if not (String.equal (Mem_store.digest (store t id)) state0) then
+          Error (Printf.sprintf "replica %d state diverged from replica %d" id first)
         else begin
-          match Ledger.verify r.rledger ~check_certificate:(fun ~seq:_ ~digest:_ shares ->
-                    List.length shares >= Config.commit_quorum t.ccfg)
+          match
+            Ledger.verify (ledger t id) ~check_certificate:(fun ~seq:_ ~digest:_ shares ->
+                List.length shares >= Config.commit_quorum t.ccfg)
           with
           | Ok () -> check more
-          | Error e -> Error (Printf.sprintf "replica %d ledger: %s" r.id e)
+          | Error e -> Error (Printf.sprintf "replica %d ledger: %s" id e)
         end
     in
     check rest

@@ -15,6 +15,12 @@
       each replica's {!Rdb_chain.Ledger};
     - crash faults and primary view changes can be injected.
 
+    The replica logic (batching, MAC checks, execution, ledger, checkpoints,
+    state transfer) lives in {!Replica_host}, the same code the networked
+    [resdb_node] runs through {!Tcp_node}.  This module is only the
+    in-process fabric around one host per replica: the message queue, the
+    crash set, one {!Rdb_consensus.Pbft_client} per client and the trace.
+
     Message delivery is FIFO and reliable between live replicas.  This is a
     deterministic in-process harness, not a networked deployment. *)
 

@@ -518,71 +518,6 @@ let validate t =
   | None -> ());
   Nemesis.validate ~n:t.n t.nemesis
 
-(* ---- the deprecated flat constructor --------------------------------------- *)
-
-module Compat = struct
-  let make ?protocol ?n ?clients ?client_machines ?batch_size ?ops_per_txn ?txn_wire_bytes
-      ?preprepare_payload_bytes ?client_scheme ?replica_scheme ?reply_scheme ?sqlite ?durable
-      ?data_dir ?cores ?instances ?batch_threads ?execute_threads ?exec_records
-      ?exec_force_parallel ?checkpoint_txns ?max_inflight_batches ?crashed_backups ?loss_rate
-      ?duplication_rate ?extra_jitter ?nemesis ?client_timeout ?view_timeout ?use_buffer_pool
-      ?verify_sharing ?verify_cache_capacity ?zyzzyva_timeout ?bandwidth_gbps ?latency ?jitter
-      ?shards ?cross_shard_fraction ?regions ?cost ?warmup ?measure ?seed ?trace ?trace_out
-      ?trace_csv ?trace_interval ?trace_max_events () =
-    let opt v d = Option.value v ~default:d in
-    let d0 = default in
-    {
-      protocol = opt protocol d0.protocol;
-      n = opt n d0.n;
-      clients = opt clients d0.clients;
-      client_machines = opt client_machines d0.client_machines;
-      batch_size = opt batch_size d0.batch_size;
-      ops_per_txn = opt ops_per_txn d0.ops_per_txn;
-      txn_wire_bytes = opt txn_wire_bytes d0.txn_wire_bytes;
-      preprepare_payload_bytes = opt preprepare_payload_bytes d0.preprepare_payload_bytes;
-      client_scheme = opt client_scheme d0.client_scheme;
-      replica_scheme = opt replica_scheme d0.replica_scheme;
-      reply_scheme = opt reply_scheme d0.reply_scheme;
-      sqlite = opt sqlite d0.sqlite;
-      durable = opt durable d0.durable;
-      data_dir = opt data_dir d0.data_dir;
-      cores = opt cores d0.cores;
-      instances = opt instances d0.instances;
-      batch_threads = opt batch_threads d0.batch_threads;
-      execute_threads = opt execute_threads d0.execute_threads;
-      exec_records = opt exec_records d0.exec_records;
-      exec_force_parallel = opt exec_force_parallel d0.exec_force_parallel;
-      checkpoint_txns = opt checkpoint_txns d0.checkpoint_txns;
-      max_inflight_batches = opt max_inflight_batches d0.max_inflight_batches;
-      crashed_backups = opt crashed_backups d0.crashed_backups;
-      loss_rate = opt loss_rate d0.loss_rate;
-      duplication_rate = opt duplication_rate d0.duplication_rate;
-      extra_jitter = opt extra_jitter d0.extra_jitter;
-      nemesis = opt nemesis d0.nemesis;
-      client_timeout = opt client_timeout d0.client_timeout;
-      view_timeout = opt view_timeout d0.view_timeout;
-      use_buffer_pool = opt use_buffer_pool d0.use_buffer_pool;
-      verify_sharing = opt verify_sharing d0.verify_sharing;
-      verify_cache_capacity = opt verify_cache_capacity d0.verify_cache_capacity;
-      zyzzyva_timeout = opt zyzzyva_timeout d0.zyzzyva_timeout;
-      bandwidth_gbps = opt bandwidth_gbps d0.bandwidth_gbps;
-      latency = opt latency d0.latency;
-      jitter = opt jitter d0.jitter;
-      shards = opt shards d0.shards;
-      cross_shard_fraction = opt cross_shard_fraction d0.cross_shard_fraction;
-      regions = opt regions d0.regions;
-      cost = opt cost d0.cost;
-      warmup = opt warmup d0.warmup;
-      measure = opt measure d0.measure;
-      seed = opt seed d0.seed;
-      trace = opt trace d0.trace;
-      trace_out = opt trace_out d0.trace_out;
-      trace_csv = opt trace_csv d0.trace_csv;
-      trace_interval = opt trace_interval d0.trace_interval;
-      trace_max_events = opt trace_max_events d0.trace_max_events;
-    }
-end
-
 (* ---- the axis table -------------------------------------------------------- *)
 
 module Spec = struct

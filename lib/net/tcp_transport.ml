@@ -7,6 +7,7 @@ type t = {
   deliver_lock : Mutex.t;
   mutable peers : (int * (string * int)) list;
   outgoing : (int, conn) Hashtbl.t;
+  down : (int, unit) Hashtbl.t;  (** peers that refused every connect attempt *)
   outgoing_lock : Mutex.t;
   mutable readers : Thread.t list;
   mutable accepted : Unix.file_descr list;
@@ -71,6 +72,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ~on_message () =
       deliver_lock = Mutex.create ();
       peers = [];
       outgoing = Hashtbl.create 8;
+      down = Hashtbl.create 8;
       outgoing_lock = Mutex.create ();
       readers = [];
       accepted = [];
@@ -93,8 +95,11 @@ let add_peer t id addr = t.peers <- (id, addr) :: List.remove_assoc id t.peers
 (* Bounded reconnect-with-backoff: cluster nodes start in arbitrary order,
    so the first connect must tolerate a peer that is not listening yet.
    Five attempts, 10/20/40/80 ms apart (~150 ms worst case), then give up
-   and let the caller count the failure. *)
-let connect_peer host peer_port =
+   and let the caller count the failure.  A peer that already refused them
+   all gets a single attempt per send until it accepts again: a replica
+   that is down must not slow its peers' senders to a crawl, and one that
+   comes back is reached by the next send. *)
+let connect_peer ~tries host peer_port =
   let rec attempt tries delay =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, peer_port)) with
@@ -109,7 +114,7 @@ let connect_peer host peer_port =
         attempt (tries - 1) (delay *. 2.0)
       end
   in
-  attempt 5 0.01
+  attempt tries 0.01
 
 let get_conn t ~to_ =
   Mutex.lock t.outgoing_lock;
@@ -121,11 +126,14 @@ let get_conn t ~to_ =
       match List.assoc_opt to_ t.peers with
       | None -> None
       | Some (host, peer_port) -> (
-        match connect_peer host peer_port with
+        match connect_peer ~tries:(if Hashtbl.mem t.down to_ then 1 else 5) host peer_port with
         | Some c ->
+          Hashtbl.remove t.down to_;
           Hashtbl.replace t.outgoing to_ c;
           Some c
-        | None -> None))
+        | None ->
+          Hashtbl.replace t.down to_ ();
+          None))
   in
   Mutex.unlock t.outgoing_lock;
   conn

@@ -11,8 +11,10 @@
     peer that is down simply receives nothing (BFT protocols tolerate
     this).  First connections retry with bounded backoff (five attempts,
     10..80 ms apart) so cluster nodes may start in any order; a stale
-    connection is reopened once per {!send}.  Definitive failures are
-    counted in {!send_failures}.
+    connection is reopened once per {!send}.  A peer that refused every
+    attempt counts as down: until it accepts again, each send tries to
+    connect once, without the backoff.  Definitive failures are counted in
+    {!send_failures}.
 
     The [on_message] callback runs on reader threads but is serialized by
     an internal lock, so a single-threaded consensus core behind it needs

@@ -59,35 +59,6 @@ let prop_sha256_deterministic_and_sensitive =
       in
       String.equal d1 d2 && not (String.equal d1 (Sha256.digest flipped)))
 
-(* ---- SHA3-256 -------------------------------------------------------------- *)
-
-let test_sha3_vectors () =
-  (* FIPS 202 example values. *)
-  check Alcotest.string "empty" "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
-    (Sha3.digest_hex "");
-  check Alcotest.string "abc" "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
-    (Sha3.digest_hex "abc")
-
-let test_sha3_multiblock () =
-  (* Exceeds one 136-byte rate block; must absorb across blocks without
-     corruption (regression guard: digest is stable and length 32). *)
-  let long = String.concat "" (List.init 10 (fun i -> Printf.sprintf "block %d of input..." i)) in
-  let d = Sha3.digest long in
-  check Alcotest.int "32 bytes" 32 (String.length d);
-  check Alcotest.string "deterministic" (Sha3.digest_hex long) (Sha3.digest_hex long);
-  Alcotest.(check bool) "differs from sha256" false (String.equal d (Sha256.digest long))
-
-let prop_sha3_sensitivity =
-  QCheck.Test.make ~name:"sha3: 1-bit flip changes digest" ~count:100
-    QCheck.(string_of_size Gen.(1 -- 300))
-    (fun s ->
-      let flipped =
-        let b = Bytes.of_string s in
-        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
-        Bytes.to_string b
-      in
-      not (String.equal (Sha3.digest s) (Sha3.digest flipped)))
-
 (* ---- AES-128 ------------------------------------------------------------- *)
 
 let test_aes_fips197 () =
@@ -410,12 +381,6 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming" `Quick test_sha256_streaming_equals_oneshot;
           qtest prop_sha256_deterministic_and_sensitive;
-        ] );
-      ( "sha3",
-        [
-          Alcotest.test_case "FIPS 202 vectors" `Quick test_sha3_vectors;
-          Alcotest.test_case "multi-block absorption" `Quick test_sha3_multiblock;
-          qtest prop_sha3_sensitivity;
         ] );
       ( "aes",
         [

@@ -1,7 +1,9 @@
 (* Network layer tests: the wire codec (exhaustive roundtrips + malformed
    input), stream framing, the simulated datacenter network (latency,
-   bandwidth serialization, crash drops), and the real TCP transport —
-   including a full 4-replica PBFT agreement over localhost sockets. *)
+   bandwidth serialization, crash drops), the real TCP transport, and the
+   shared networked node: 4-replica agreement over localhost sockets (badly
+   signed client requests dropped before they reach a batch) and a
+   restarted backup catching up by state transfer. *)
 
 module Codec = Rdb_consensus.Codec
 module Msg = Rdb_consensus.Message
@@ -275,74 +277,138 @@ let test_tcp_two_nodes () =
   Tcp.shutdown a;
   Tcp.shutdown b
 
-let test_tcp_pbft_cluster_agreement () =
-  (* Four PBFT replicas in one process, communicating exclusively through
-     real TCP sockets and the binary codec. *)
-  let module Pbft = Rdb_consensus.Pbft_replica in
-  let module Action = Rdb_consensus.Action in
-  let n = 4 in
-  let cfg = Rdb_consensus.Config.make ~n () in
-  let cores = Array.init n (fun id -> Pbft.create cfg ~id) in
-  let locks = Array.init n (fun _ -> Mutex.create ()) in
-  let executed = Array.make n [] in
-  let transports = Array.make n None in
-  let tp i = Option.get transports.(i) in
-  let rec dispatch id actions =
-    List.iter
-      (fun a ->
-        match a with
-        | Action.Broadcast m ->
-          let payload = Codec.encode m in
-          for dst = 0 to n - 1 do
-            if dst <> id then ignore (Tcp.send (tp id) ~to_:dst payload)
-          done
-        | Action.Send (dst, m) -> ignore (Tcp.send (tp id) ~to_:dst (Codec.encode m))
-        | Action.Send_client _ -> ()
-        | Action.Execute b ->
-          executed.(id) <- (b.Msg.seq, b.Msg.digest) :: executed.(id);
-          dispatch id (Pbft.handle_executed cores.(id) ~seq:b.Msg.seq ~state_digest:"s" ~result:"ok")
-        | Action.Stable_checkpoint _ -> ())
-      actions
+let test_tcp_down_peer_fails_fast () =
+  let gone = Tcp.create ~on_message:(fun ~payload:_ -> ()) () in
+  let port = Tcp.port gone in
+  Tcp.shutdown gone;
+  let a = Tcp.create ~on_message:(fun ~payload:_ -> ()) () in
+  Tcp.set_peers a [ (1, ("127.0.0.1", port)) ];
+  Alcotest.(check bool) "refused" false (Tcp.send a ~to_:1 "x");
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "still down" false (Tcp.send a ~to_:1 "x");
+  Alcotest.(check bool) "without another round of connect attempts" true
+    (Unix.gettimeofday () -. t0 < 0.05);
+  check Alcotest.int "both counted" 2 (Tcp.send_failures a);
+  Tcp.shutdown a
+
+(* ---- the shared TCP node ------------------------------------------------------ *)
+
+module Node = Rdb_core.Tcp_node
+module Mem_store = Rdb_storage.Mem_store
+
+(* Four Tcp_node replicas in one process on ephemeral loopback ports,
+   talking only through real sockets and the wire format. *)
+let start_nodes ~batch_size () =
+  let nodes = Array.init 4 (fun id -> Node.start ~id ~n:4 ~batch_size ()) in
+  let directory = List.init 4 (fun id -> (id, ("127.0.0.1", Node.port nodes.(id)))) in
+  Array.iter (fun node -> Node.set_peers node directory) nodes;
+  (nodes, directory)
+
+(* A client that signs each "SET" with the demo key and sends it to the
+   primary; replies land on its own listener and are ignored.  Returns the
+   client's transport, a submit function yielding the next txn id (with
+   [~forged:true] the request carries a payload other than the one signed)
+   and the genuine payloads sent so far. *)
+let signed_client nodes =
+  let signer = Node.client_signer () in
+  let tr = Tcp.create ~on_message:(fun ~payload:_ -> ()) () in
+  Tcp.set_peers tr [ (0, ("127.0.0.1", Node.port nodes.(0))) ];
+  let sent = ref [] and next = ref 0 in
+  let submit ?(forged = false) () =
+    let txn_id = !next in
+    incr next;
+    let payload = Printf.sprintf "SET k%d v%d" (txn_id mod 7) txn_id in
+    if not forged then sent := payload :: !sent;
+    let signed = if forged then payload ^ "0" else payload in
+    let signature = Wire.sign_request signer ~client:1 ~txn_id ~payload:signed in
+    let reply_port = Tcp.port tr in
+    ignore
+      (Tcp.send tr ~to_:0
+         (Wire.encode
+            (Wire.Request { client = 1; reply_host = "127.0.0.1"; reply_port; txn_id; payload; signature })));
+    txn_id
   in
+  (tr, submit, fun () -> List.rev !sent)
+
+let replay payloads =
+  let st = Mem_store.create () in
+  List.iter
+    (fun p ->
+      match String.split_on_char ' ' p with [ "SET"; k; v ] -> Mem_store.put st k v | _ -> ())
+    payloads;
+  Rdb_crypto.Sha256.hex (Mem_store.digest st)
+
+let hex_state node = Rdb_crypto.Sha256.hex (Node.state_digest node)
+
+let check_agreement nodes ~expected =
+  let height = (Node.status nodes.(0)).Node.chain_blocks in
   Array.iteri
-    (fun id _ ->
-      let on_message ~payload =
-        match Codec.decode payload with
-        | Ok m ->
-          (* Hold the core's lock across handling AND the dispatch of its
-             actions: dispatch may call handle_executed on the same core. *)
-          Mutex.lock locks.(id);
-          (try dispatch id (Pbft.handle_message cores.(id) m)
-           with e ->
-             Mutex.unlock locks.(id);
-             raise e);
-          Mutex.unlock locks.(id)
-        | Error _ -> ()
-      in
-      transports.(id) <- Some (Tcp.create ~on_message ()))
-    cores;
-  let directory = Array.to_list (Array.mapi (fun id _ -> (id, ("127.0.0.1", Tcp.port (tp id)))) cores) in
-  Array.iteri (fun id _ -> Tcp.set_peers (tp id) directory) cores;
-  (* The primary proposes three batches. *)
-  for i = 1 to 3 do
-    Mutex.lock locks.(0);
-    let _, actions =
-      Pbft.propose cores.(0)
-        ~reqs:[ { Msg.client = 1; txn_id = i } ]
-        ~digest:(Printf.sprintf "tcp-batch-%d" i)
-        ~wire_bytes:64
-    in
-    dispatch 0 actions;
-    Mutex.unlock locks.(0)
+    (fun id node ->
+      check Alcotest.string (Printf.sprintf "node %d state" id) expected (hex_state node);
+      check Alcotest.int
+        (Printf.sprintf "node %d ledger height" id)
+        height (Node.status node).Node.chain_blocks)
+    nodes
+
+let test_tcp_pbft_cluster_agreement () =
+  let nodes, _ = start_nodes ~batch_size:10 () in
+  let client, submit, sent = signed_client nodes in
+  (* A request whose payload does not match its signature is dropped on the
+     primary's receive thread and never executes. *)
+  ignore (submit ~forged:true ());
+  for _ = 1 to 25 do
+    ignore (submit ())
   done;
-  let all_executed () = Array.for_all (fun l -> List.length l = 3) executed in
-  Alcotest.(check bool) "all replicas executed all batches over TCP" true (wait_until all_executed);
-  let reference = List.rev executed.(0) in
-  Array.iteri
-    (fun id l ->
-      Alcotest.(check bool) (Printf.sprintf "replica %d agrees" id) true (List.rev l = reference))
-    executed;
-  Array.iter (fun t -> Tcp.shutdown (Option.get t)) transports
+  (* 25 is not a multiple of the batch size: the tail goes out through the
+     flush loop's partial batch. *)
+  Alcotest.(check bool) "every node executed every request" true
+    (wait_until (fun () ->
+         Array.for_all (fun nd -> (Node.status nd).Node.executed_txns = 25) nodes));
+  check_agreement nodes ~expected:(replay (sent ()));
+  Tcp.shutdown client;
+  Array.iter Node.stop nodes
+
+let test_tcp_restart_catches_up () =
+  (* Nodes checkpoint every 100 sequence numbers; with one request per
+     batch a request's sequence number is its txn id + 1. *)
+  let nodes, directory = start_nodes ~batch_size:1 () in
+  let client, submit, sent = signed_client nodes in
+  let burst k =
+    let last = ref 0 in
+    for _ = 1 to k do
+      last := submit () + 1
+    done;
+    !last
+  in
+  let executed ids seq =
+    wait_until ~tries:3000 (fun () ->
+        List.for_all (fun i -> (Node.status nodes.(i)).Node.last_executed >= seq) ids)
+  in
+  Alcotest.(check bool) "all four executed" true (executed [ 0; 1; 2; 3 ] (burst 10));
+  (* Backup 3 goes down; the others commit past two checkpoints (100 and
+     200) and prune their ledgers below them. *)
+  let port3 = Node.port nodes.(3) in
+  Node.stop nodes.(3);
+  Alcotest.(check bool) "three replicas commit without it" true (executed [ 0; 1; 2 ] (burst 210));
+  (* Restart on the same port with an empty store and ledger, then keep
+     200 requests in flight: the restarted node hears the stable
+     checkpoint at 300 while later batches are still being ordered, so it
+     must hold those until the transferred state lands. *)
+  nodes.(3) <- Node.start ~port:port3 ~id:3 ~n:4 ~batch_size:1 ();
+  Node.set_peers nodes.(3) directory;
+  let last = burst 200 in
+  Alcotest.(check bool) "every node executed everything" true (executed [ 0; 1; 2; 3 ] last);
+  check_agreement nodes ~expected:(replay (sent ()));
+  Alcotest.(check bool) "by state transfer, not re-execution" true
+    ((Node.status nodes.(3)).Node.executed_txns < (Node.status nodes.(0)).Node.executed_txns);
+  Tcp.shutdown client;
+  Array.iter Node.stop nodes
+
+let test_parse_peers () =
+  check Alcotest.(list (pair int (pair string int))) "position is the replica id"
+    [ (0, ("127.0.0.1", 5100)); (1, ("10.0.0.2", 7)) ] (Node.parse_peers "127.0.0.1:5100,10.0.0.2:7");
+  Alcotest.check_raises "missing port" (Failure "bad peer: localhost") (fun () ->
+      ignore (Node.parse_peers "127.0.0.1:5100,localhost"))
 
 let () =
   Alcotest.run "rdb_net"
@@ -376,6 +442,10 @@ let () =
       ( "tcp",
         [
           Alcotest.test_case "two nodes over sockets" `Quick test_tcp_two_nodes;
+          Alcotest.test_case "down peer fails fast" `Quick test_tcp_down_peer_fails_fast;
           Alcotest.test_case "4-replica PBFT over TCP" `Quick test_tcp_pbft_cluster_agreement;
+          Alcotest.test_case "restarted backup catches up by state transfer" `Quick
+            test_tcp_restart_catches_up;
+          Alcotest.test_case "peer list parsing" `Quick test_parse_peers;
         ] );
     ]
